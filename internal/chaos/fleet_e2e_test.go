@@ -17,16 +17,19 @@ package chaos_test
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/server"
 	"repro/internal/store"
@@ -471,5 +474,97 @@ func waitForStorePut(t *testing.T, st *store.Store) {
 			t.Fatal("store never absorbed the write-through")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// slowBackend delays every simulation by delay (or until its context ends)
+// and counts the simulations it started.
+type slowBackend struct {
+	server.Backend
+	delay   time.Duration
+	started *atomic.Int64
+}
+
+func (b slowBackend) Run(ctx context.Context, cfg core.Config) (*core.MixResult, error) {
+	b.started.Add(1)
+	select {
+	case <-time.After(b.delay):
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	return b.Backend.Run(ctx, cfg)
+}
+
+// TestChaosFleetHedgedColdKeySimulatedOnce: after a history of hits the
+// hedge budget sits at -hedge-min, so a cold key whose simulation outlasts
+// it is hedged to a non-owner while the owner simulates. The non-owner must
+// wait on the owner's running flight, not simulate the key a second time:
+// exactly one backend simulation per cold key fleet-wide, with bytes
+// identical to a clean single node.
+func TestChaosFleetHedgedColdKeySimulatedOnce(t *testing.T) {
+	var started atomic.Int64
+	workers := newFleetWorkers(t, 3, nil, func(i int, c *server.Config) {
+		c.Backend = slowBackend{Backend: c.Backend, delay: 300 * time.Millisecond, started: &started}
+	})
+	coord := newFleetCoordinator(t, workers, func(c *fleet.Config) {
+		c.HedgeMin = 20 * time.Millisecond
+		c.HedgeMax = 10 * time.Second
+	})
+	coord.ProbeOnce(context.Background())
+	front := httptest.NewServer(coord)
+	defer front.Close()
+	ref := server.New(server.Config{Backend: &fakeInner{}, DefaultTimeout: 30 * time.Second})
+
+	// Warm two hot keys on their owners directly, keeping simulations out
+	// of the coordinator's latency history, then build that history from
+	// hits alone.
+	hot := []string{runBody("hot-0", 30000), runBody("hot-1", 30000)}
+	for _, body := range hot {
+		var req server.RunRequest
+		if err := json.Unmarshal([]byte(body), &req); err != nil {
+			t.Fatal(err)
+		}
+		key, err := server.CanonicalRunKey(&req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		owner, _ := coord.Ring().Owner(key)
+		for _, w := range workers {
+			if w.ts.URL == owner {
+				if rec := post(t, w.srv, "/v1/run", body); rec.Code != 200 {
+					t.Fatalf("warm: status %d", rec.Code)
+				}
+			}
+		}
+	}
+	for i := 0; i < 400; i++ {
+		if resp, got := through(t, front, "/v1/run", hot[i%2]); resp.StatusCode != 200 {
+			t.Fatalf("hit %d: status %d: %s", i, resp.StatusCode, got)
+		}
+	}
+
+	reg := coord.Telemetry().Reg()
+	hedgesBefore := reg.Counter("fleet.hedges").Value()
+	const cold = 3
+	for s := 0; s < cold; s++ {
+		body := runBody(fmt.Sprintf("cold-%d", s), 30000)
+		want := post(t, ref, "/v1/run", body)
+		if want.Code != 200 {
+			t.Fatalf("reference: status %d", want.Code)
+		}
+		before := started.Load()
+		resp, got := through(t, front, "/v1/run", body)
+		if resp.StatusCode != 200 || got != want.Body.String() {
+			t.Fatalf("cold key %d: status %d, bytes identical to the single node: %v", s, resp.StatusCode, got == want.Body.String())
+		}
+		// A hedge loser is cancelled as the winner replies; give any
+		// simulation it would start the moment to show up.
+		time.Sleep(50 * time.Millisecond)
+		if n := started.Load() - before; n != 1 {
+			t.Fatalf("cold key %d: %d backend simulations fleet-wide, want 1", s, n)
+		}
+	}
+	if hedges := reg.Counter("fleet.hedges").Value() - hedgesBefore; hedges < cold {
+		t.Fatalf("%d hedges over %d cold keys: the budget never sat at -hedge-min", hedges, cold)
 	}
 }

@@ -26,6 +26,33 @@ func TestSuiteComplete(t *testing.T) {
 	}
 }
 
+// TestByNameIsALookup: ByName resolves a name without allocating (the
+// server calls it for every benchmark of every request) and still returns
+// nil for an unknown name.
+func TestByNameIsALookup(t *testing.T) {
+	want := ByName("hmmer")
+	if want == nil || want.Name != "hmmer" {
+		t.Fatalf("ByName(hmmer) = %v", want)
+	}
+	var got *Benchmark
+	if allocs := testing.AllocsPerRun(100, func() { got = ByName("hmmer") }); allocs != 0 {
+		t.Fatalf("ByName allocates %v times per call, want 0", allocs)
+	}
+	if got != want {
+		t.Fatal("ByName returned a different benchmark on a repeat call")
+	}
+	if ByName("doom") != nil {
+		t.Fatal("phantom benchmark resolved")
+	}
+	// Suite hands out its own slice: a caller editing it cannot corrupt
+	// later lookups.
+	s := Suite()
+	s[0] = nil
+	if Suite()[0] == nil {
+		t.Fatal("Suite returned a shared slice")
+	}
+}
+
 func TestGeneratedTracesValid(t *testing.T) {
 	for _, b := range Suite() {
 		for pi, ph := range b.Phases {

@@ -149,34 +149,34 @@ func suiteParams() []Params {
 // treated as immutable by every simulation layer.
 var (
 	suiteOnce  sync.Once
+	suiteList  []*Benchmark // in suiteParams order
 	suiteCache map[string]*Benchmark
 )
 
-// Suite generates (and caches) the full benchmark suite. Safe for
-// concurrent use.
-func Suite() []*Benchmark {
-	params := suiteParams()
+func loadSuite() {
 	suiteOnce.Do(func() {
+		params := suiteParams()
+		suiteList = make([]*Benchmark, len(params))
 		suiteCache = make(map[string]*Benchmark, len(params))
-		for _, p := range params {
-			suiteCache[p.Name] = Generate(p)
+		for i, p := range params {
+			suiteList[i] = Generate(p)
+			suiteCache[p.Name] = suiteList[i]
 		}
 	})
-	out := make([]*Benchmark, 0, len(params))
-	for _, p := range params {
-		out = append(out, suiteCache[p.Name])
-	}
-	return out
 }
 
-// ByName returns the named benchmark, or nil.
+// Suite generates (and caches) the full benchmark suite. Safe for
+// concurrent use; the returned slice is the caller's own.
+func Suite() []*Benchmark {
+	loadSuite()
+	return append([]*Benchmark(nil), suiteList...)
+}
+
+// ByName returns the named benchmark, or nil. It is a map lookup: the
+// server resolves every benchmark of every request through it.
 func ByName(name string) *Benchmark {
-	for _, b := range Suite() {
-		if b.Name == name {
-			return b
-		}
-	}
-	return nil
+	loadSuite()
+	return suiteCache[name]
 }
 
 // Names returns the suite's benchmark names, sorted.

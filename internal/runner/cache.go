@@ -124,6 +124,9 @@ type flight[K comparable, V any] struct {
 
 	waiters int                // guarded by Cache.mu
 	cancel  context.CancelFunc // cancels the flight's own context
+	// running is set by MarkRunning once fn is past any stage a joiner
+	// should not wait behind (guarded by Cache.mu); Join attaches only then.
+	running bool
 
 	// LRU links through settled entries (guarded by Cache.mu); inLRU marks
 	// membership, size is the entry's MaxBytes weight.
@@ -183,6 +186,11 @@ func (c *Cache[K, V]) DoContext(ctx context.Context, key K, fn func(context.Cont
 	// request, but keeps its values so telemetry attribution flows through.
 	fctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
 	f = &flight[K, V]{key: key, done: make(chan struct{}), waiters: 1, cancel: cancel}
+	fctx = context.WithValue(fctx, runningKey{}, func() {
+		c.mu.Lock()
+		f.running = true
+		c.mu.Unlock()
+	})
 	c.m[key] = f
 	c.mu.Unlock()
 
@@ -356,21 +364,57 @@ func (c *Cache[K, V]) wait(ctx context.Context, key K, f *flight[K, V], out Outc
 	return zero, out, ctx.Err()
 }
 
-// Peek returns the settled success value for key without starting, joining
-// or waiting on any flight: in-progress flights and error entries report a
-// miss, and the backing tier is never consulted. A hit refreshes the
-// entry's LRU recency. It is the lookup behind the fleet peering endpoint,
-// which must answer "do you already have the bytes" without doing work.
-func (c *Cache[K, V]) Peek(key K) (V, bool) {
+// runningKey carries a flight's MarkRunning hook through its context.
+type runningKey struct{}
+
+// MarkRunning opens the flight whose fn was handed ctx to Join: fn calls
+// it once past any stage a joiner should not wait behind (the server calls
+// it once the flight is admitted, so a flight parked in the admission
+// queue stays unjoinable). A ctx that no DoContext flight handed out is
+// ignored.
+func MarkRunning(ctx context.Context) {
+	if mark, ok := ctx.Value(runningKey{}).(func()); ok {
+		mark()
+	}
+}
+
+// Join obtains key's value without ever starting a computation or
+// consulting the backing tier. A settled success returns at once (and
+// refreshes its LRU recency). A flight marked running (MarkRunning) is
+// joined as a waiter: joined, when non-nil, runs once the join is made
+// and before Join blocks until the flight settles or ctx ends. Anything
+// else — no entry, an error entry, a flight not yet running — reports
+// false at once without calling joined, and so does a joined flight that
+// fails, is cancelled or outlives ctx.
+//
+// A joiner is a waiter like any other: it keeps the flight alive when
+// every other caller abandons it, and abandoning it itself cancels the
+// flight only when it was the last. Join is the lookup behind the fleet
+// peering endpoint, which serves a peer the bytes its owner holds or is
+// computing, never work of its own.
+func (c *Cache[K, V]) Join(ctx context.Context, key K, joined func()) (V, bool) {
+	var zero V
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	f, ok := c.m[key]
-	if !ok || !f.settled || f.err != nil {
-		var zero V
+	if !ok || (f.settled && f.err != nil) || (!f.settled && !f.running) {
+		c.mu.Unlock()
 		return zero, false
 	}
-	c.touchLocked(f)
-	return f.v, true
+	if f.settled {
+		c.touchLocked(f)
+		c.mu.Unlock()
+		return f.v, true
+	}
+	f.waiters++
+	c.mu.Unlock()
+	if joined != nil {
+		joined()
+	}
+	v, _, err := c.wait(ctx, key, f, OutcomeWaiter)
+	if err != nil {
+		return zero, false
+	}
+	return v, true
 }
 
 // Len returns the number of cached keys (settled entries plus in-flight

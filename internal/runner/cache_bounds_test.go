@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -311,39 +312,161 @@ func TestCacheBackingSkipsCancelledFlights(t *testing.T) {
 	}
 }
 
-// TestCachePeek: Peek serves settled successes only — no flights, no
-// errors, no backing-tier consultation.
-func TestCachePeek(t *testing.T) {
+// TestCacheJoin: Join serves settled successes at once and never consults
+// the backing tier or starts a flight; error entries and flights that have
+// not been marked running report false at once, without calling joined.
+func TestCacheJoin(t *testing.T) {
 	bk := newMapBacking()
 	bk.m["disk-only"] = []byte("on disk")
 	c := &Cache[string, []byte]{Backing: bk}
-	if _, ok := c.Peek("absent"); ok {
-		t.Fatal("Peek fabricated a value for an absent key")
+	ctx := context.Background()
+	noJoin := func() { t.Error("joined called without a running flight") }
+	if _, ok := c.Join(ctx, "absent", noJoin); ok {
+		t.Fatal("Join fabricated a value for an absent key")
+	}
+	if c.Len() != 0 {
+		t.Fatal("Join started a flight")
 	}
 	loads := bk.loads
-	if _, ok := c.Peek("disk-only"); ok || bk.loads != loads {
-		t.Fatalf("Peek consulted the backing tier (ok=%v, loads=%d)", ok, bk.loads-loads)
+	if _, ok := c.Join(ctx, "disk-only", noJoin); ok || bk.loads != loads {
+		t.Fatalf("Join consulted the backing tier (ok=%v, loads=%d)", ok, bk.loads-loads)
 	}
 	if _, err := c.Do("good", func() ([]byte, error) { return []byte("v"), nil }); err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := c.Peek("good"); !ok || string(v) != "v" {
-		t.Fatalf("Peek(good) = %q, %v", v, ok)
+	if v, ok := c.Join(ctx, "good", noJoin); !ok || string(v) != "v" {
+		t.Fatalf("Join(good) = %q, %v", v, ok)
 	}
 	wantErr := errors.New("deterministic failure")
 	if _, err := c.Do("bad", func() ([]byte, error) { return nil, wantErr }); !errors.Is(err, wantErr) {
 		t.Fatal(err)
 	}
-	if _, ok := c.Peek("bad"); ok {
-		t.Fatal("Peek served an error entry")
+	if _, ok := c.Join(ctx, "bad", noJoin); ok {
+		t.Fatal("Join served an error entry")
 	}
-	// An in-progress flight is not peekable.
+	// A flight that has not called MarkRunning (parked in admission, say)
+	// is not joinable: Join answers at once instead of waiting on it.
 	started := make(chan struct{})
 	release := make(chan struct{})
-	go c.Do("slow", func() ([]byte, error) { close(started); <-release; return []byte("s"), nil })
+	go c.Do("queued", func() ([]byte, error) { close(started); <-release; return []byte("q"), nil })
 	<-started
-	if _, ok := c.Peek("slow"); ok {
-		t.Fatal("Peek served an unsettled flight")
+	if _, ok := c.Join(ctx, "queued", noJoin); ok {
+		t.Fatal("Join served an unsettled flight that is not running")
 	}
 	close(release)
+}
+
+// startRunning launches a DoContext flight for key that marks itself
+// running and then blocks until release; it returns once the flight is
+// joinable, plus the leader's result channel.
+func startRunning(t *testing.T, c *Cache[string, []byte], ctx context.Context, key string, release <-chan error) <-chan error {
+	t.Helper()
+	running := make(chan struct{})
+	res := make(chan error, 1)
+	go func() {
+		_, _, err := c.DoContext(ctx, key, func(fctx context.Context) ([]byte, error) {
+			MarkRunning(fctx)
+			close(running)
+			select {
+			case err := <-release:
+				if err != nil {
+					return nil, err
+				}
+				return []byte("computed"), nil
+			case <-fctx.Done():
+				return nil, fctx.Err()
+			}
+		})
+		res <- err
+	}()
+	<-running
+	return res
+}
+
+// TestCacheJoinRunningFlight: a joiner waits on a running flight and gets
+// its value; joined runs before the wait. It counts as a waiter, so the
+// leader abandoning its own call does not cancel the computation.
+func TestCacheJoinRunningFlight(t *testing.T) {
+	c := &Cache[string, []byte]{}
+	lctx, lcancel := context.WithCancel(context.Background())
+	release := make(chan error)
+	leader := startRunning(t, c, lctx, "k", release)
+
+	var joinedAt atomic.Bool
+	got := make(chan []byte, 1)
+	go func() {
+		v, ok := c.Join(context.Background(), "k", func() { joinedAt.Store(true) })
+		if !ok {
+			v = nil
+		}
+		got <- v
+	}()
+	for deadline := time.Now().Add(5 * time.Second); !joinedAt.Load(); {
+		if time.Now().After(deadline) {
+			t.Fatal("Join never attached to the running flight")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// The leader walks away; the joiner keeps the flight alive.
+	lcancel()
+	if err := <-leader; !errors.Is(err, context.Canceled) {
+		t.Fatalf("leader err = %v, want its own cancellation", err)
+	}
+	release <- nil
+	if v := <-got; string(v) != "computed" {
+		t.Fatalf("joiner got %q, want the flight's value", v)
+	}
+	if v, ok := c.Join(context.Background(), "k", nil); !ok || string(v) != "computed" {
+		t.Fatalf("settled entry after the join: %q, %v", v, ok)
+	}
+}
+
+// TestCacheJoinFailedFlight: a joined flight that fails reports false.
+func TestCacheJoinFailedFlight(t *testing.T) {
+	c := &Cache[string, []byte]{}
+	release := make(chan error, 1)
+	leader := startRunning(t, c, context.Background(), "k", release)
+	joined := make(chan struct{})
+	got := make(chan bool, 1)
+	go func() {
+		_, ok := c.Join(context.Background(), "k", func() { close(joined) })
+		got <- ok
+	}()
+	<-joined
+	wantErr := errors.New("simulation failed")
+	release <- wantErr
+	if ok := <-got; ok {
+		t.Fatal("Join reported success for a failed flight")
+	}
+	if err := <-leader; !errors.Is(err, wantErr) {
+		t.Fatalf("leader err = %v", err)
+	}
+}
+
+// TestCacheJoinAbandon: a joiner whose ctx ends returns false at once; the
+// flight lives on for its other waiter and is cancelled when that leaves.
+func TestCacheJoinAbandon(t *testing.T) {
+	c := &Cache[string, []byte]{}
+	lctx, lcancel := context.WithCancel(context.Background())
+	leader := startRunning(t, c, lctx, "k", make(chan error))
+	jctx, jcancel := context.WithCancel(context.Background())
+	joined := make(chan struct{})
+	got := make(chan bool, 1)
+	go func() {
+		_, ok := c.Join(jctx, "k", func() { close(joined) })
+		got <- ok
+	}()
+	<-joined
+	jcancel()
+	if ok := <-got; ok {
+		t.Fatal("abandoned Join reported success")
+	}
+	// The leader is now the only waiter; its leaving cancels the flight.
+	lcancel()
+	if err := <-leader; !errors.Is(err, context.Canceled) {
+		t.Fatalf("leader err = %v", err)
+	}
+	if c.Len() != 0 {
+		t.Fatal("abandoned flight stayed in the cache")
+	}
 }

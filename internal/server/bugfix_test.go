@@ -96,7 +96,7 @@ func TestFinishAttributesFlightErrorFirst(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			rec := httptest.NewRecorder()
-			srv.finish(rec, tc.ctx, nil, runner.OutcomeLeader, tc.err)
+			srv.finish(rec, tc.ctx, nil, runner.OutcomeLeader, "miss", tc.err)
 			if rec.Code != tc.wantCode {
 				t.Fatalf("status %d, want %d (body %s)", rec.Code, tc.wantCode, rec.Body.Bytes())
 			}
@@ -107,7 +107,7 @@ func TestFinishAttributesFlightErrorFirst(t *testing.T) {
 	}
 	// Client-gone stays a 499 with no body.
 	rec := httptest.NewRecorder()
-	srv.finish(rec, canceledCtx(), nil, runner.OutcomeLeader, context.Canceled)
+	srv.finish(rec, canceledCtx(), nil, runner.OutcomeLeader, "miss", context.Canceled)
 	if rec.Code != StatusClientClosedRequest {
 		t.Fatalf("client-gone status %d, want %d", rec.Code, StatusClientClosedRequest)
 	}

@@ -246,6 +246,10 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// Unwrap exposes the underlying writer to http.ResponseController, which
+// the peering endpoint flushes its headers through.
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
 func (w *statusWriter) status() int {
 	if w.code == 0 {
 		return http.StatusOK

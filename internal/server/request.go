@@ -143,7 +143,7 @@ func (s *Server) validateRun(req *RunRequest) (*runJob, *apiError) {
 		return nil, aerr
 	}
 	cfg.Parallel = s.cfg.Parallel
-	cfg.Telemetry = s.tel
+	cfg.Telemetry = s.simTel
 	return &runJob{
 		job: job{key: key, timeout: s.timeout(req.TimeoutMS)},
 		cfg: cfg,

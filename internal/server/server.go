@@ -65,7 +65,10 @@ type Config struct {
 	Scales map[string]experiments.Scale
 	// Telemetry instruments the server and every simulation it launches;
 	// nil allocates a fresh one. Counters are safe under concurrent
-	// requests; /v1/metrics exports them.
+	// requests; /v1/metrics exports them. Simulations feed its Registry
+	// only: interval samples and cluster trace events would grow its
+	// Sampler and TraceSink with every simulation a long-lived server
+	// ever ran, and nothing serves them.
 	Telemetry *telemetry.Telemetry
 	// AbandonGrace is how long a request lingers after its deadline for
 	// the flight to surface a partial-result error (default 40ms — the
@@ -92,16 +95,19 @@ type Config struct {
 	// distinct job key ever served.
 	CacheMaxEntries int
 	CacheMaxBytes   int64
-	// PeerFetch, when set, lets this worker ask a fleet peer for already-
-	// computed response bytes before simulating. It is consulted by the
-	// flight leader — after the local memory and disk tiers miss, before
-	// admission — only when the request arrived with an X-Mirage-Owner
-	// header naming the key's owning worker (the coordinator sets it when
-	// hedging or failing over to a non-owner). A (bytes, true) return is
-	// cached locally exactly like a computed result; (nil, false) falls
+	// PeerFetch, when set, lets this worker ask a fleet peer for the
+	// response bytes it holds or is computing before simulating. It is
+	// consulted by the flight leader — after the local memory and disk
+	// tiers miss, before admission — only when the request arrived with an
+	// X-Mirage-Owner header naming the key's owning worker (the coordinator
+	// sets it when hedging or failing over to a non-owner). It returns the
+	// bytes, the owner's tier (PeerTierMemory, PeerTierDisk or
+	// PeerTierFlight; "" when the owner gave no answer) and ok. An ok
+	// return is cached locally exactly like a computed result; !ok falls
 	// through to a normal simulation. Must be safe for concurrent use and
-	// respect ctx.
-	PeerFetch func(ctx context.Context, owner, key string) ([]byte, bool)
+	// respect ctx, which ends when every request waiting on the flight has
+	// gone.
+	PeerFetch func(ctx context.Context, owner, key string) (body []byte, tier string, ok bool)
 	// PeerAuth, when non-empty, is the fleet's shared peering secret: GET
 	// /internal/peer/cache requires the PeerAuthHeader to match it
 	// (constant-time) and answers 403 otherwise, so cached and persisted
@@ -115,6 +121,21 @@ type Config struct {
 // fleet-internal cache-peering requests.
 const PeerAuthHeader = "X-Mirage-Peer-Auth"
 
+// The cache-peering reply vocabulary. A 200 from /internal/peer/cache names
+// in X-Cache where the owner found the bytes: its memory cache, its store,
+// or its own running flight. A flight reply flushes its headers as soon as
+// the owner joins the flight and sends the body when the flight settles,
+// followed by the PeerFlightTrailer trailer: PeerFlightOK when the body is
+// the flight's result, anything else (an empty body) when the flight
+// failed or was cancelled.
+const (
+	PeerTierMemory    = "memory"
+	PeerTierDisk      = "disk"
+	PeerTierFlight    = "flight"
+	PeerFlightTrailer = "X-Mirage-Flight"
+	PeerFlightOK      = "ok"
+)
+
 // Server is the miraged HTTP API. Create with New; it implements
 // http.Handler.
 type Server struct {
@@ -123,6 +144,8 @@ type Server struct {
 	tel     *telemetry.Telemetry
 	reg     *telemetry.Registry
 	mux     *http.ServeMux
+	// simTel is what simulations are handed: tel's registry alone.
+	simTel *telemetry.Telemetry
 
 	// cache deduplicates work and memoizes encoded response bodies by
 	// canonical job key: concurrent identical requests share one flight,
@@ -203,6 +226,7 @@ func New(cfg Config) *Server {
 		backend: cfg.Backend,
 		tel:     cfg.Telemetry,
 		reg:     cfg.Telemetry.Reg(),
+		simTel:  &telemetry.Telemetry{Registry: cfg.Telemetry.Reg()},
 		slots:   make(chan struct{}, cfg.MaxInFlight),
 		queued:  make(chan struct{}, cfg.MaxQueue),
 		drainCh: make(chan struct{}),
@@ -341,9 +365,9 @@ func (s *Server) leave() {
 
 // admit acquires an execution slot for a flight leader, or fails fast:
 // errDraining when the server is shutting down, errSaturated when both the
-// slots and the wait queue are full, ctx.Err() when the flight is
-// abandoned while queued. Cache hits never reach admit — only the leader
-// of a new flight pays for a slot.
+// slots and the wait queue are full, ctx.Err() when the flight was
+// abandoned before or while queued. Cache hits never reach admit — only
+// the leader of a new flight pays for a slot.
 //
 // The queued wait selects on drainCh too: checking the draining flag only
 // on entry left a TOCTOU hole where a request parked in the queue when
@@ -354,6 +378,11 @@ func (s *Server) admit(ctx context.Context) (release func(), err error) {
 	case <-s.drainCh:
 		return nil, errDraining
 	default:
+	}
+	// A flight abandoned before it got here (while it waited on a fleet
+	// peer, say) must not take a slot and start a simulation for nobody.
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	select {
 	case s.slots <- struct{}{}:
@@ -425,15 +454,22 @@ func (s *Server) requestContext(r *http.Request, timeout time.Duration) (context
 
 // execute runs one deduplicated job: the first caller per key leads a
 // flight (admission slot, then fn), everyone else shares it. The returned
-// Outcome is what the access log and singleflight counters are built on;
-// execute also records the cache_lookup / singleflight_wait / admission
-// spans and links waiters and cache hits back to the leading request via
-// the per-key flightInfo.
-func (s *Server) execute(ctx context.Context, key string, fn func(context.Context) ([]byte, error)) ([]byte, runner.Outcome, error) {
+// Outcome is what the singleflight counters are built on, and cache is the
+// X-Cache label: cacheLabel(out), except that a leader whose bytes a fleet
+// peer served is labelled by the peer's tier — "hit" from its memory,
+// "disk" from its store, "miss" from its running flight. execute also
+// records the cache_lookup / singleflight_wait / admission spans and links
+// waiters and cache hits back to the leading request via the per-key
+// flightInfo.
+func (s *Server) execute(ctx context.Context, key string, fn func(context.Context) ([]byte, error)) (body []byte, out runner.Outcome, cache string, err error) {
 	rt := traceFrom(ctx)
 	rt.setKey(key)
 	start := time.Now()
-	body, out, err := s.cache.DoContext(ctx, key, func(fctx context.Context) ([]byte, error) {
+	// peerTier is written by this call's own flight fn, which runs only
+	// when this call leads; fn returns before the flight settles, so a
+	// leader's successful return happens after the write.
+	var peerTier string
+	body, out, err = s.cache.DoContext(ctx, key, func(fctx context.Context) ([]byte, error) {
 		// Only the flight leader's fn runs, and fctx kept the leader's
 		// context values, so this trace is the leading request's: spans
 		// recorded here (admission wait) land on the leader's timeline
@@ -443,22 +479,16 @@ func (s *Server) execute(ctx context.Context, key string, fn func(context.Contex
 		fi.setLeader(lrt.requestID())
 		// Fleet cache peering: when the coordinator routed this request to a
 		// non-owner worker (hedge or failover) it names the key's owner in
-		// X-Mirage-Owner; ask that owner for the bytes before paying for a
-		// slot and a simulation, so each key is computed once fleet-wide.
-		// A peer miss (or any fetch failure) falls through to a normal run.
+		// X-Mirage-Owner; ask that owner for the bytes — held, or still
+		// being computed by its running flight — before paying for a slot
+		// and a simulation, so each key is computed once fleet-wide. A peer
+		// miss (or any fetch failure) falls through to a normal run.
 		if owner := lrt.ownerHint(); owner != "" && s.cfg.PeerFetch != nil {
-			var b []byte
-			var ok bool
-			_ = withSpan(fctx, "peer_fetch", func() error {
-				b, ok = s.cfg.PeerFetch(fctx, owner, key)
-				return nil
-			})
+			b, tier, ok := s.peerFetch(fctx, lrt, owner, key)
 			if ok {
-				s.reg.Counter("server.peer.hits").Inc()
-				lrt.setPeer(owner)
+				peerTier = tier
 				return b, nil
 			}
-			s.reg.Counter("server.peer.fetch_misses").Inc()
 		}
 		s.reg.Histogram("server.admit.queue_depth").Observe(int64(len(s.queued)))
 		admitStart := time.Now()
@@ -471,6 +501,8 @@ func (s *Server) execute(ctx context.Context, key string, fn func(context.Contex
 			return nil, aerr
 		}
 		defer release()
+		// Admitted: fleet peers asking for this key may now wait on it.
+		runner.MarkRunning(fctx)
 		s.reg.Counter("server.jobs.executed").Inc()
 		b, ferr := fn(fctx)
 		// Publish any injected fault before the flight settles (fn return
@@ -480,9 +512,18 @@ func (s *Server) execute(ctx context.Context, key string, fn func(context.Contex
 		return b, ferr
 	})
 	wait := time.Since(start)
+	cache = cacheLabel(out)
 	switch out {
 	case runner.OutcomeLeader:
-		rt.setOutcome("miss", "leader", rt.requestID())
+		if err == nil {
+			switch peerTier {
+			case PeerTierMemory:
+				cache = "hit"
+			case PeerTierDisk:
+				cache = "disk"
+			}
+		}
+		rt.setOutcome(cache, "leader", rt.requestID())
 		rt.addSpan("cache_lookup", start, 0, map[string]any{"outcome": "miss"})
 		rt.addSpan("singleflight_wait", start, wait, map[string]any{"role": "leader"})
 	case runner.OutcomeWaiter:
@@ -506,7 +547,33 @@ func (s *Server) execute(ctx context.Context, key string, fn func(context.Contex
 		rt.setOutcome("disk", "", rt.requestID())
 		rt.addSpan("cache_lookup", start, wait, map[string]any{"outcome": "disk"})
 	}
-	return body, out, err
+	return body, out, cache, err
+}
+
+// peerFetch asks the key's owner for its bytes (Config.PeerFetch) on a
+// flight leader's behalf and records the outcome. A fetch the owner
+// answered from its running flight is a wait on that flight: it is timed
+// as a peer_wait span and in server.peer.waits / server.peer.wait_us,
+// whether or not the flight delivered; any other fetch is a peer_fetch
+// span.
+func (s *Server) peerFetch(fctx context.Context, lrt *reqTrace, owner, key string) ([]byte, string, bool) {
+	start := time.Now()
+	b, tier, ok := s.cfg.PeerFetch(fctx, owner, key)
+	d := time.Since(start)
+	name := "peer_fetch"
+	if tier == PeerTierFlight {
+		name = "peer_wait"
+		s.reg.Counter("server.peer.waits").Inc()
+		s.reg.Counter("server.peer.wait_us").Add(d.Microseconds())
+	}
+	lrt.addSpan(name, start, d, map[string]any{"owner": owner, "tier": tier, "ok": ok})
+	if !ok {
+		s.reg.Counter("server.peer.fetch_misses").Inc()
+		return nil, tier, false
+	}
+	s.reg.Counter("server.peer.hits").Inc()
+	lrt.setPeer(owner)
+	return b, tier, true
 }
 
 // scale resolves a request's scale name against the registered scales and
@@ -518,7 +585,7 @@ func (s *Server) scale(name string) (experiments.Scale, *apiError) {
 		return experiments.Scale{}, aerr
 	}
 	sc.Parallel = s.cfg.Parallel
-	sc.Telemetry = s.tel
+	sc.Telemetry = s.simTel
 	return sc, nil
 }
 
@@ -538,7 +605,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	traceFrom(r.Context()).setDeadline(rj.timeout)
 	ctx, cancel := s.requestContext(r, rj.timeout)
 	defer cancel()
-	body, out, err := s.execute(ctx, rj.key, func(fctx context.Context) ([]byte, error) {
+	body, out, cache, err := s.execute(ctx, rj.key, func(fctx context.Context) ([]byte, error) {
 		var mr *core.MixResult
 		if err := withSpan(fctx, "simulate", func() (err error) {
 			mr, err = s.backend.Run(fctx, rj.cfg)
@@ -553,7 +620,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		})
 		return body, err
 	})
-	s.finish(w, ctx, body, out, err)
+	s.finish(w, ctx, body, out, cache, err)
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -570,7 +637,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	traceFrom(r.Context()).setDeadline(j.timeout)
 	ctx, cancel := s.requestContext(r, j.timeout)
 	defer cancel()
-	body, out, err := s.execute(ctx, j.key, func(fctx context.Context) ([]byte, error) {
+	body, out, cache, err := s.execute(ctx, j.key, func(fctx context.Context) ([]byte, error) {
 		var reports []*experiments.Report
 		if err := withSpan(fctx, "simulate", func() (err error) {
 			reports, err = s.backend.Reports(fctx, sc, experiments.SweepIDs)
@@ -586,7 +653,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 		return buf.Bytes(), nil
 	})
-	s.finish(w, ctx, body, out, err)
+	s.finish(w, ctx, body, out, cache, err)
 }
 
 func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
@@ -617,7 +684,7 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	traceFrom(r.Context()).setDeadline(timeout)
 	ctx, cancel := s.requestContext(r, timeout)
 	defer cancel()
-	body, out, err := s.execute(ctx, key, func(fctx context.Context) ([]byte, error) {
+	body, out, cache, err := s.execute(ctx, key, func(fctx context.Context) ([]byte, error) {
 		var reports []*experiments.Report
 		if err := withSpan(fctx, "simulate", func() (err error) {
 			reports, err = s.backend.Reports(fctx, sc, []string{exp.ID})
@@ -636,7 +703,7 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 		}
 		return buf.Bytes(), nil
 	})
-	s.finish(w, ctx, body, out, err)
+	s.finish(w, ctx, body, out, cache, err)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -667,12 +734,15 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handlePeerCache is the fleet cache-peering endpoint: a peer worker asks
-// whether this worker already holds the response bytes for a canonical job
-// key, checking the in-memory cache (settled successes only) and then the
-// persistent store. It never simulates, never admits, and never blocks on a
-// flight in progress — a peer asking for bytes that are still being
-// computed gets a 404 and simulates (or waits) on its own side, which keeps
-// the peering path strictly cheap.
+// for the response bytes of a canonical job key, which this worker serves
+// from its in-memory cache (settled successes), from a flight of its own
+// that is already running, or from its persistent store. It never
+// simulates and never admits. A running flight is joined as one more
+// waiter: the headers (X-Cache: flight) go out at once and the body when
+// the flight settles, so the peer's wait is bounded by its own request,
+// and the flight's outcome follows as the PeerFlightTrailer trailer. A
+// flight still parked in admission is not waited on — the peer gets a 404
+// at once, so a saturated owner is still hedged around.
 func (s *Server) handlePeerCache(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.PeerAuth != "" &&
 		subtle.ConstantTimeCompare([]byte(r.Header.Get(PeerAuthHeader)), []byte(s.cfg.PeerAuth)) != 1 {
@@ -685,11 +755,33 @@ func (s *Server) handlePeerCache(w http.ResponseWriter, r *http.Request) {
 		s.invalid(w, badRequest("missing key parameter"))
 		return
 	}
-	body, ok := s.cache.Peek(key)
-	src := "memory"
+	joined := false
+	body, ok := s.cache.Join(r.Context(), key, func() {
+		joined = true
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("X-Cache", PeerTierFlight)
+		w.Header().Set("Trailer", PeerFlightTrailer)
+		w.WriteHeader(http.StatusOK)
+		// A writer that cannot flush sends the headers with the body: the
+		// peer then waits on its header bound and falls through, as on a
+		// slow owner, so the error changes nothing here.
+		_ = http.NewResponseController(w).Flush()
+	})
+	if joined {
+		if !ok {
+			s.reg.Counter("server.peer.flight_failures").Inc()
+			w.Header().Set(PeerFlightTrailer, "failed")
+			return
+		}
+		s.reg.Counter("server.peer.served").Inc()
+		_, _ = w.Write(body)
+		w.Header().Set(PeerFlightTrailer, PeerFlightOK)
+		return
+	}
+	src := PeerTierMemory
 	if !ok && s.cfg.Store != nil {
 		body, ok = s.cfg.Store.Get(key)
-		src = "disk"
+		src = PeerTierDisk
 	}
 	if !ok {
 		s.reg.Counter("server.peer.misses").Inc()
@@ -786,7 +878,7 @@ func (s *Server) writeError(w http.ResponseWriter, status int, msg string, detai
 // non-nil by the time we look. Only when the error itself is (or wraps) a
 // context sentinel does ctx decide between deadline (504) and client-gone
 // (499).
-func (s *Server) finish(w http.ResponseWriter, ctx context.Context, body []byte, out runner.Outcome, err error) {
+func (s *Server) finish(w http.ResponseWriter, ctx context.Context, body []byte, out runner.Outcome, cache string, err error) {
 	if err == nil {
 		// OutcomeDisk is Shared() but is a store hit, not a singleflight
 		// one: the bytes came off disk, no in-process flight was joined.
@@ -797,7 +889,7 @@ func (s *Server) finish(w http.ResponseWriter, ctx context.Context, body []byte,
 		}
 		s.reg.Counter("server.requests.ok").Inc()
 		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("X-Cache", cacheLabel(out))
+		w.Header().Set("X-Cache", cache)
 		_ = withSpan(ctx, "write", func() error {
 			_, werr := w.Write(body)
 			return werr

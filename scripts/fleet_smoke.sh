@@ -7,7 +7,9 @@
 #     on the transport error and the prober logs a "ring re-shard",
 #   * the restarted worker re-enters the ring warm: it serves the keys it
 #     owned before the kill from its disk store (X-Cache: disk),
-#   * the coordinator's own healthz and Prometheus surfaces hold up.
+#   * the coordinator's own healthz and Prometheus surfaces hold up,
+#   * a cold key hedged while its owner simulates is simulated once
+#     fleet-wide: the hedged workers wait on the owner's running flight.
 # CI runs this in the fleet-smoke job and uploads the logs on failure; it is
 # equally runnable locally: ./scripts/fleet_smoke.sh
 set -euo pipefail
@@ -187,5 +189,53 @@ CODE="$(curl -s -o /dev/null -w '%{http_code}' "http://$COORD/internal/peer/cach
 CODE="$(curl -s -o /dev/null -w '%{http_code}' "http://$HOST:${WORKER_PORTS[0]}/internal/peer/cache?key=x")"
 [ "$CODE" = "403" ] || { echo "worker served an unauthenticated peer read (status $CODE)" >&2; exit 1; }
 
-rm -f fleet.log fleet-ref.log fleet-worker-*.log
-echo "== fleet smoke passed (${#SEEDS[@]} keys, 1 kill, 1 warm restart)"
+echo "== phase 5: a hedged cold key is simulated once fleet-wide"
+# A second coordinator with a low -hedge-min. Hits alone fill its latency
+# history, so its hedge budget sits at -hedge-min, and a cold key whose
+# simulation outlasts that budget is hedged to the other workers while its
+# owner simulates; they must wait on the owner's flight, not recompute.
+HEDGE_COORD="$HOST:18195"
+./miraged-fleet -coordinator -addr "$HEDGE_COORD" -workers "$WORKERS" \
+  -probe-interval 200ms -hedge-min 20ms -log-format json 2>"fleet-hedge.log" &
+PIDS+=($!)
+wait_healthz "$HEDGE_COORD" "fleet-hedge.log"
+for i in $(seq 0 149); do
+  drive "${SEEDS[$((i % ${#SEEDS[@]}))]}" /dev/null "$WORKDIR/h-hit" "$HEDGE_COORD"
+done
+
+counter() { # base name -> the counter's value in base's /v1/metrics
+  curl -sf "http://$1/v1/metrics" | tr -d ' ' | awk -F: -v k="\"$2\"" '$1 == k {sub(/,$/, "", $2); print $2}'
+}
+jobs_executed() { # summed over the workers
+  local total=0 n
+  for port in "${WORKER_PORTS[@]}"; do
+    n="$(counter "$HOST:$port" server.jobs.executed)"
+    total=$((total + ${n:-0}))
+  done
+  echo "$total"
+}
+
+cold_body() {
+  printf '{"mix": ["bzip2", "mcf"], "seed": "smoke-cold", "target_insts": 400000, "interval_cycles": 10000}'
+}
+curl -sf -o "$WORKDIR/ref-cold.json" -H 'Content-Type: application/json' -d "$(cold_body)" "http://$REF/v1/run"
+BEFORE="$(jobs_executed)"
+HEDGES_BEFORE="$(counter "$HEDGE_COORD" fleet.hedges)"
+curl -sf -D "$WORKDIR/h-cold" -o "$WORKDIR/fleet-cold.json" -H 'Content-Type: application/json' \
+  -d "$(cold_body)" "http://$HEDGE_COORD/v1/run"
+sleep 0.5 # a cancelled hedge loser must not start a simulation late either
+AFTER="$(jobs_executed)"
+HEDGES="$(( $(counter "$HEDGE_COORD" fleet.hedges) - ${HEDGES_BEFORE:-0} ))"
+cmp -s "$WORKDIR/ref-cold.json" "$WORKDIR/fleet-cold.json" || {
+  echo "hedged cold key: bytes diverge from the single node" >&2; exit 1
+}
+[ "$HEDGES" -ge 1 ] || {
+  echo "the cold key was never hedged (budget not at -hedge-min?)" >&2; cat "fleet-hedge.log" >&2; exit 1
+}
+[ "$((AFTER - BEFORE))" -eq 1 ] || {
+  echo "hedged cold key ran $((AFTER - BEFORE)) simulations fleet-wide, want 1" >&2; exit 1
+}
+echo "   1 simulation for a cold key hedged $HEDGES times"
+
+rm -f fleet.log fleet-hedge.log fleet-ref.log fleet-worker-*.log
+echo "== fleet smoke passed (${#SEEDS[@]} keys, 1 kill, 1 warm restart, 1 hedged cold key)"
